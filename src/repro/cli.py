@@ -68,11 +68,9 @@ Subcommands:
     Query the run-provenance ledger (``ledger.jsonl``, schema
     ``repro-ledger/1``) that ``run``/``sweep``/``bench``/``profile``
     append to: ``list`` recent runs (``--json`` for one record per
-    line), ``show RUN_ID`` one full entry,
-    ``diff A B`` two entries field by field (exit 1 when their spike
-    digests diverge — the reproducibility alarm), and ``trace RUN_ID``
-    to re-merge a sharded run's recorded span rings into a
-    Perfetto-loadable trace. Run ids accept unique prefixes. Opt out
+    line), ``show RUN_ID`` one full entry, and ``diff A B`` two
+    entries field by field (exit 1 when their spike digests diverge —
+    the reproducibility alarm). Run ids accept unique prefixes. Opt out
     of recording with ``--no-ledger`` on any recording command.
 """
 
@@ -317,200 +315,7 @@ def _print_alert_summary(manager) -> Optional[dict]:
     return summary
 
 
-def _run_sharded(args) -> int:
-    """``repro run --shards N``: the fault-tolerant sharded path."""
-    import time
-
-    from repro.errors import ConfigurationError
-    from repro.io import atomic_write_json, atomic_write_text
-    from repro.observability.log import new_run_id
-    from repro.sharding import ShardChaos, ShardCoordinator
-    from repro.supervision import JobSpec, RetryPolicy
-    from repro.supervision.config import SupervisorConfig
-    from repro.workloads import get_spec
-
-    if args.resume_from:
-        raise ConfigurationError(
-            "--resume-from is the single-process resume path; sharded "
-            "runs recover through composite checkpoints instead "
-            "(--shard-checkpoint-path)"
-        )
-    spec = get_spec(args.workload)
-    job = JobSpec(
-        name=f"{args.workload}-x{args.shards}",
-        workload=args.workload,
-        backend=args.backend,
-        steps=args.steps,
-        scale=args.scale,
-        seed=args.seed,
-        dt=args.dt,
-        solver=args.solver,
-        shards=args.shards,
-    )
-    chaos = None
-    if (
-        args.chaos_shard_kill is not None
-        or args.chaos_shard_stall is not None
-    ):
-        chaos = ShardChaos(
-            shard=args.chaos_shard,
-            kill_epoch=args.chaos_shard_kill,
-            stall_epoch=args.chaos_shard_stall,
-        )
-    metrics = None
-    if args.stats_json or args.prometheus or args.serve or args.alerts:
-        from repro.telemetry import MetricsRegistry
-
-        metrics = MetricsRegistry()
-    status = bus = server = None
-    if args.serve:
-        from repro.observability import EventBus, StatusBoard
-
-        status = StatusBoard(state="starting")
-        bus = EventBus()
-    manager = _alert_manager(args, status=status, bus=bus, metrics=metrics)
-    monitor = None
-    if manager is not None:
-        from repro.health import HealthMonitor
-
-        monitor = HealthMonitor(manager, metrics=metrics)
-    if args.serve:
-
-        def ready_check():
-            state = status.snapshot().get("state")
-            return (
-                state in ("running", "finished", "degraded"),
-                f"sharded run state is {state!r}",
-            )
-
-        server = _start_plane(
-            args.serve, args.serve_port_file, metrics, status, bus,
-            ready_check=ready_check, ledger_path=_ledger_path(args),
-            alerts_source=None if manager is None else manager.document,
-        )
-    run_id = new_run_id()
-    coordinator = ShardCoordinator(
-        job,
-        config=SupervisorConfig(),
-        retry=RetryPolicy(max_retries=args.shard_max_restarts),
-        barrier_timeout=args.barrier_timeout,
-        checkpoint_every=args.shard_checkpoint_every,
-        checkpoint_path=args.shard_checkpoint_path,
-        chaos=chaos,
-        metrics=metrics,
-        status_board=status,
-        event_bus=bus,
-        run_id=run_id,
-        health=monitor,
-    )
-    print(f"{spec}")
-    print(f"run ID: {run_id}")
-    print(
-        f"sharded x{args.shards}: barrier window "
-        f"{coordinator.plan.window} step(s), "
-        f"{coordinator.n_epochs} epoch(s), composite checkpoint every "
-        f"{args.shard_checkpoint_every} epoch(s), barrier timeout "
-        f"{args.barrier_timeout:g}s, {args.shard_max_restarts} "
-        f"restart(s) per shard"
-    )
-    if chaos is not None:
-        print(
-            f"chaos: shard {chaos.shard} "
-            + (
-                f"SIGKILLs itself after epoch {chaos.kill_epoch}'s window"
-                if chaos.kill_epoch is not None
-                else f"stalls silently at epoch {chaos.stall_epoch}"
-            )
-        )
-    wall_start = time.monotonic()
-    try:
-        result = coordinator.run()
-    finally:
-        if monitor is not None:
-            monitor.finish()
-    wall_seconds = time.monotonic() - wall_start
-    duration = result.n_steps * args.dt
-    print(
-        f"\n{result.total_spikes():,} spikes in {duration * 1e3:.0f} ms "
-        f"of biological time across {result.n_shards} shard(s)"
-    )
-    print(f"spike digest: {result.spike_digest}")
-    print(
-        f"restarts per shard: {result.restarts} "
-        f"({result.replayed_epochs} epoch(s) replayed)"
-    )
-    if result.degraded:
-        print("degraded to single-process execution:")
-        for event in result.diagnostics.degraded:
-            print(f"  {event.describe()}")
-    alert_summary = _print_alert_summary(manager)
-    if args.trace:
-        trace_document = result.trace_document(network=args.workload)
-        atomic_write_json(args.trace, trace_document)
-        print(
-            f"wrote merged shard trace {args.trace!r} "
-            f"({result.n_shards} shard(s) + coordinator, "
-            f"{len(trace_document['traceEvents'])} events) — load it in "
-            f"chrome://tracing or https://ui.perfetto.dev"
-        )
-    if args.stats_json:
-        stats = result.to_stats_dict()
-        if alert_summary is not None:
-            stats["alerts"] = alert_summary
-        atomic_write_json(args.stats_json, stats)
-        print(f"wrote run statistics {args.stats_json!r}")
-    if args.prometheus:
-        atomic_write_text(args.prometheus, metrics.to_prometheus())
-        print(f"wrote Prometheus metrics {args.prometheus!r}")
-    from repro.provenance import make_entry
-
-    _append_ledger(args, make_entry(
-        "run",
-        run_id,
-        {
-            "workload": args.workload,
-            "backend": args.backend,
-            "steps": args.steps,
-            "scale": args.scale,
-            "seed": args.seed,
-            "dt": args.dt,
-            "solver": args.solver,
-            "shards": args.shards,
-        },
-        workload=args.workload,
-        backend=args.backend,
-        shards=args.shards,
-        steps=args.steps,
-        scale=args.scale,
-        seed=args.seed,
-        dt=args.dt,
-        spike_digest=result.spike_digest,
-        outcome="degraded" if result.degraded else "completed",
-        duration=wall_seconds,
-        metrics={
-            "total_spikes": result.total_spikes(),
-            "restarts": result.restarts,
-            "replayed_epochs": result.replayed_epochs,
-        },
-        artifacts={
-            "trace": args.trace,
-            "stats_json": args.stats_json,
-            "prometheus": args.prometheus,
-            "checkpoint": args.shard_checkpoint_path,
-        },
-        trace_rings=[ring.to_dict() for ring in result.rings],
-        extra=(
-            None if alert_summary is None
-            else {"alerts": alert_summary}
-        ),
-    ))
-    _linger_plane(server, bus, args.serve_linger)
-    return 0
-
-
 def _cmd_run(args) -> int:
-    if args.shards > 1:
-        return _run_sharded(args)
     import time
 
     from repro.errors import CheckpointError, RunInterrupted
@@ -536,7 +341,6 @@ def _cmd_run(args) -> int:
         "seed": args.seed,
         "dt": args.dt,
         "solver": args.solver,
-        "shards": args.shards,
     }
     spec = get_spec(args.workload)
     backends = {
@@ -647,7 +451,6 @@ def _cmd_run(args) -> int:
             ledger_config,
             workload=args.workload,
             backend=args.backend,
-            shards=args.shards,
             steps=stop.step,
             scale=args.scale,
             seed=args.seed,
@@ -702,7 +505,6 @@ def _cmd_run(args) -> int:
         ledger_config,
         workload=args.workload,
         backend=args.backend,
-        shards=args.shards,
         steps=args.steps,
         scale=args.scale,
         seed=args.seed,
@@ -755,7 +557,6 @@ def _cmd_sweep(args) -> int:
             seed=args.seed,
             dt=args.dt,
             solver=args.solver,
-            shards=args.shards,
             chaos_kill_at_step=args.chaos_kill_at,
         )
         for name in names
@@ -836,7 +637,7 @@ def _cmd_sweep(args) -> int:
             f"{args.chaos_kill_at} on their first attempt"
         )
     if monitor is not None:
-        # The sweep has no barrier loop driving evaluations, so the
+        # The sweep has no phase stream in this process, so the
         # monitor's own cadence thread watches the shared registry.
         monitor.start()
     try:
@@ -911,13 +712,11 @@ def _cmd_sweep(args) -> int:
             "seed": args.seed,
             "dt": args.dt,
             "solver": args.solver,
-            "shards": args.shards,
             "workers": args.workers,
             "max_retries": args.max_retries,
         },
         workload=",".join(names),
         backend=args.backend,
-        shards=args.shards,
         steps=args.steps,
         scale=args.scale,
         seed=args.seed,
@@ -1179,8 +978,6 @@ def _cmd_bench(args) -> int:
 
     if args.plasticity:
         return _bench_plasticity(args, bench)
-    if args.shards:
-        return _bench_sharding(args, bench)
     workloads = (
         [name.strip() for name in args.workloads.split(",") if name.strip()]
         if args.workloads
@@ -1333,98 +1130,14 @@ def _bench_plasticity(args, bench) -> int:
     return exit_code
 
 
-def _bench_sharding(args, bench) -> int:
-    """``repro bench --shards``: sharded scaling and digest parity.
-
-    Runs each workload single-process, then through the process-backed
-    coordinator at every requested shard count, recording wall times
-    into a ``kind: "sharding"`` history entry. Fails (exit 1) when any
-    sharded digest differs from the single-process oracle or any run
-    degraded — wall-clock speedup is recorded but never gated on.
-    """
-    from repro.errors import ConfigurationError
-
-    try:
-        shard_counts = [
-            int(part) for part in args.shards.split(",") if part.strip()
-        ]
-    except ValueError:
-        raise ConfigurationError(
-            f"--shards expects a comma-separated list of shard counts, "
-            f"got {args.shards!r}"
-        ) from None
-    workloads = (
-        [name.strip() for name in args.workloads.split(",") if name.strip()]
-        if args.workloads
-        else ["Brunel"]
-    )
-    steps, scale = min(args.steps, 400), args.scale
-    if args.quick:
-        steps, scale = min(steps, 200), min(scale, 0.05)
-    from repro.observability.log import new_run_id
-
-    run_id = new_run_id()
-    print(f"run ID: {run_id}")
-    print(
-        f"sharding bench on {len(workloads)} workload(s): {steps} steps "
-        f"at scale {scale:g}, shard counts {shard_counts}"
-    )
-    record = bench.make_sharding_record(
-        workloads, shard_counts, steps=steps, scale=scale,
-        seed=args.seed, progress=print, run_id=run_id,
-    )
-    exit_code = 0
-    for name, entry in record["sharding"].items():
-        if not entry["digest_match"]:
-            print(
-                f"FAIL: {name}: sharded spike digest diverged from the "
-                f"single-process oracle (or a run degraded)"
-            )
-            exit_code = 1
-    if not args.no_append:
-        bench.append_history(args.history, record)
-        print(f"\nappended sharding record to {args.history!r}")
-    from repro.provenance import make_entry
-
-    _append_ledger(args, make_entry(
-        "bench",
-        run_id,
-        {
-            "kind": "sharding",
-            "workloads": workloads,
-            "shard_counts": shard_counts,
-            "steps": steps,
-            "scale": scale,
-            "seed": args.seed,
-        },
-        workload=",".join(workloads),
-        backend="reference",
-        steps=steps,
-        scale=scale,
-        seed=args.seed,
-        outcome="failed" if exit_code else "completed",
-        metrics={
-            "digest_match": {
-                name: entry["digest_match"]
-                for name, entry in record["sharding"].items()
-            },
-        },
-        artifacts={"history": None if args.no_append else args.history},
-        extra={"bench_kind": "sharding"},
-    ))
-    return exit_code
-
-
 def _cmd_runs(args) -> int:
     """``repro runs``: query the run-provenance ledger."""
     import json
 
     from repro.provenance import (
-        ProcessRing,
         diff_entries,
         find_entry,
         load_ledger,
-        merge_rings,
         runs_document,
     )
 
@@ -1460,7 +1173,6 @@ def _cmd_runs(args) -> int:
                 row["kind"],
                 row["workload"],
                 row["backend"] or "-",
-                row["shards"],
                 row["steps"],
                 row["outcome"],
                 row["spike_digest"] or "-",
@@ -1471,7 +1183,7 @@ def _cmd_runs(args) -> int:
             format_table(
                 [
                     "Run", "When", "Kind", "Workload", "Backend",
-                    "Shards", "Steps", "Outcome", "Spike digest",
+                    "Steps", "Outcome", "Spike digest",
                 ],
                 rows,
             )
@@ -1486,64 +1198,35 @@ def _cmd_runs(args) -> int:
     if args.action == "show":
         entry = find_entry(entries, args.run_id)
         shown = dict(entry)
-        rings = shown.pop("trace_rings", None)
-        if rings is not None:
-            if args.full:
-                shown["trace_rings"] = rings
-            else:
-                shown["trace_rings"] = (
-                    f"<{len(rings)} ring(s) omitted; --full to include, "
-                    f"'repro runs trace' to merge>"
-                )
+        # Entries written by older versions may carry bulky inline span
+        # rings; summarise them rather than flood the terminal.
+        rings = shown.get("trace_rings")
+        if isinstance(rings, list):
+            shown["trace_rings"] = f"<{len(rings)} ring(s) omitted>"
         print(json.dumps(shown, indent=2))
         return 0
 
-    if args.action == "diff":
-        a = find_entry(entries, args.run_a)
-        b = find_entry(entries, args.run_b)
-        print(f"a: {a['run_id']}  ({a.get('timestamp')})")
-        print(f"b: {b['run_id']}  ({b.get('timestamp')})")
-        differences = diff_entries(a, b)
-        if not differences:
-            print("entries are identical across all compared fields")
-        for field, left, right in differences:
-            print(f"  {field:14s} {left!r:>34}  ->  {right!r}")
-        digest_a, digest_b = a.get("spike_digest"), b.get("spike_digest")
-        if digest_a and digest_b:
-            if digest_a != digest_b:
-                print(
-                    "\nSPIKE DIGEST DIVERGENCE: the two runs produced "
-                    "different spike trains"
-                )
-                return 1
-            print("\nspike digests match: bit-identical spike trains")
-        else:
-            print("\nspike digest not recorded for both runs; not compared")
-        return 0
-
-    # args.action == "trace"
-    from repro.io import atomic_write_json
-
-    entry = find_entry(entries, args.run_id)
-    rings = entry.get("trace_rings")
-    if not rings:
-        raise ReproError(
-            f"ledger entry {entry['run_id']} carries no trace rings "
-            "(only sharded `repro run --shards N` records them)"
-        )
-    document = merge_rings(
-        [ProcessRing.from_dict(ring) for ring in rings],
-        run_id=str(entry.get("run_id", "")),
-        network=entry.get("workload"),
-    )
-    output = args.output or f"{entry['run_id']}-trace.json"
-    atomic_write_json(output, document)
-    print(
-        f"wrote merged trace {output!r} "
-        f"({document['otherData']['n_tracks']} track(s), "
-        f"{len(document['traceEvents'])} events) — load it in "
-        f"chrome://tracing or https://ui.perfetto.dev"
-    )
+    # args.action == "diff"
+    a = find_entry(entries, args.run_a)
+    b = find_entry(entries, args.run_b)
+    print(f"a: {a['run_id']}  ({a.get('timestamp')})")
+    print(f"b: {b['run_id']}  ({b.get('timestamp')})")
+    differences = diff_entries(a, b)
+    if not differences:
+        print("entries are identical across all compared fields")
+    for field, left, right in differences:
+        print(f"  {field:14s} {left!r:>34}  ->  {right!r}")
+    digest_a, digest_b = a.get("spike_digest"), b.get("spike_digest")
+    if digest_a and digest_b:
+        if digest_a != digest_b:
+            print(
+                "\nSPIKE DIGEST DIVERGENCE: the two runs produced "
+                "different spike trains"
+            )
+            return 1
+        print("\nspike digests match: bit-identical spike trains")
+    else:
+        print("\nspike digest not recorded for both runs; not compared")
     return 0
 
 
@@ -1575,65 +1258,6 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--steps", type=int, default=1000)
     run.add_argument("--dt", type=float, default=DT)
     run.add_argument("--seed", type=int, default=1)
-    run.add_argument(
-        "--shards",
-        type=int,
-        default=0,
-        metavar="N",
-        help="partition the network across N crash-recoverable worker "
-        "processes synchronised at min-delay barriers (0/1 = off); "
-        "spikes are bit-identical to the single-process run",
-    )
-    run.add_argument(
-        "--barrier-timeout",
-        type=float,
-        default=30.0,
-        metavar="SECONDS",
-        help="kill and restart a shard with no traffic for this long",
-    )
-    run.add_argument(
-        "--shard-checkpoint-every",
-        type=int,
-        default=1,
-        metavar="EPOCHS",
-        help="composite-checkpoint interval in barrier epochs",
-    )
-    run.add_argument(
-        "--shard-checkpoint-path",
-        default=None,
-        metavar="PATH",
-        help="atomically persist each composite checkpoint here",
-    )
-    run.add_argument(
-        "--shard-max-restarts",
-        type=int,
-        default=2,
-        metavar="N",
-        help="restarts per shard before degrading to single-process",
-    )
-    run.add_argument(
-        "--chaos-shard-kill",
-        type=int,
-        default=None,
-        metavar="EPOCH",
-        help="chaos: the --chaos-shard SIGKILLs itself after computing "
-        "EPOCH's window (exercises restart + replay; used by CI)",
-    )
-    run.add_argument(
-        "--chaos-shard-stall",
-        type=int,
-        default=None,
-        metavar="EPOCH",
-        help="chaos: the --chaos-shard hangs silently at EPOCH "
-        "(exercises the barrier stall detector)",
-    )
-    run.add_argument(
-        "--chaos-shard",
-        type=int,
-        default=0,
-        metavar="ID",
-        help="which shard the chaos flags target (default 0)",
-    )
     run.add_argument(
         "--checkpoint-every",
         type=int,
@@ -1753,15 +1377,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=0.05,
         metavar="SECONDS",
         help="watchdog poll cadence on the worker pipe",
-    )
-    sweep.add_argument(
-        "--shards",
-        type=int,
-        default=0,
-        metavar="N",
-        help="run each job's network partitioned across N in-process "
-        "shards inside its worker (0/1 = off); digests stay "
-        "bit-identical to single-process execution",
     )
     sweep.add_argument(
         "--checkpoint-every",
@@ -1909,7 +1524,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument(
         "--ledger",
-        default="ledger.jsonl",
+        default=_default_ledger_path(),
         metavar="PATH",
         help="run-provenance ledger served on GET /runs",
     )
@@ -1968,15 +1583,6 @@ def build_parser() -> argparse.ArgumentParser:
         "diverge or no trace updates were deferred",
     )
     bench.add_argument(
-        "--shards",
-        default=None,
-        metavar="N,M",
-        help="measure sharded scaling instead of raw throughput: run "
-        "each workload through the process-backed coordinator at these "
-        "shard counts (e.g. 2,4) and fail if any digest diverges from "
-        "the single-process oracle",
-    )
-    bench.add_argument(
         "--history",
         default="BENCH_history.jsonl",
         metavar="PATH",
@@ -2022,9 +1628,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     runs.add_argument(
         "--ledger",
-        default="ledger.jsonl",
+        default=_default_ledger_path(),
         metavar="PATH",
-        help="the ledger file to query (default: ledger.jsonl)",
+        help="the ledger file to query (default: %(default)s)",
     )
     runs_sub = runs.add_subparsers(dest="action", required=True)
     runs_list = runs_sub.add_parser(
@@ -2055,10 +1661,6 @@ def build_parser() -> argparse.ArgumentParser:
     runs_show.add_argument(
         "run_id", help="full run id or unique prefix"
     )
-    runs_show.add_argument(
-        "--full", action="store_true",
-        help="include the inline trace rings (large)",
-    )
     runs_diff = runs_sub.add_parser(
         "diff",
         help="compare two runs field by field; exits 1 when their "
@@ -2066,26 +1668,27 @@ def build_parser() -> argparse.ArgumentParser:
     )
     runs_diff.add_argument("run_a", help="run id or unique prefix")
     runs_diff.add_argument("run_b", help="run id or unique prefix")
-    runs_trace = runs_sub.add_parser(
-        "trace",
-        help="re-merge a run's recorded span rings into a "
-        "Perfetto-loadable trace file",
-    )
-    runs_trace.add_argument("run_id", help="full run id or unique prefix")
-    runs_trace.add_argument(
-        "--output", "-o", default=None, metavar="OUT.json",
-        help="trace file to write (default: <run_id>-trace.json)",
-    )
     return parser
+
+
+def _default_ledger_path() -> str:
+    """The ledger every ``--ledger`` flag defaults to.
+
+    Read when the parser is built, not when this module is imported,
+    so a test can point it elsewhere for the length of one call.
+    """
+    from repro.provenance import ledger
+
+    return ledger.DEFAULT_LEDGER_PATH
 
 
 def _add_ledger_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--ledger",
-        default="ledger.jsonl",
+        default=_default_ledger_path(),
         metavar="PATH",
         help="append this invocation's provenance entry here "
-        "(query with `repro runs`; default: ledger.jsonl)",
+        "(query with `repro runs`; default: %(default)s)",
     )
     parser.add_argument(
         "--no-ledger",

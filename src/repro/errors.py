@@ -120,18 +120,6 @@ class SupervisionError(ReproError):
     """
 
 
-class ShardingError(SupervisionError):
-    """Raised when a sharded run's coordination protocol breaks.
-
-    Covers wire-protocol violations between the shard coordinator and
-    its workers (out-of-order barrier epochs, malformed exchange
-    payloads) and determinism violations (a restarted shard re-sending
-    a window whose digest differs from the one the surviving shards
-    already consumed). Misconfigurations — a bad shard count, an
-    unsupported network — raise :class:`ConfigurationError` instead.
-    """
-
-
 class RunInterrupted(ReproError):
     """Raised at a step boundary after SIGINT/SIGTERM requested a stop.
 

@@ -5,7 +5,7 @@ watchdog: :mod:`~repro.health.detectors` classify the live run's signal
 streams, :mod:`~repro.health.alerts` runs declarative rules with a
 pending→firing→resolved state machine over them, and
 :mod:`~repro.health.resources` samples per-process RSS/CPU/FDs for both
-the local exposition and the worker heartbeat protocol.
+the local exposition and the supervised workers' heartbeats.
 """
 
 from repro.health.alerts import (
@@ -24,7 +24,6 @@ from repro.health.detectors import (
     HealthSignal,
     SaturationDetector,
     SpikeRateDetector,
-    StragglerDetector,
 )
 from repro.health.resources import (
     ResourceSampler,
@@ -47,7 +46,6 @@ __all__ = [
     "ResourceSampler",
     "SaturationDetector",
     "SpikeRateDetector",
-    "StragglerDetector",
     "declare_process_metrics",
     "load_alert_rules",
     "parse_alert_rules",

@@ -29,8 +29,8 @@ Two drivers evaluate the manager:
   (one deque-free counter bump per step; detectors, registry reads,
   and the state machine run at most once per ``publish_interval``);
 * :class:`HealthMonitor` — a clock-throttled driver for contexts with
-  no phase stream: the shard coordinator ticks it from its barrier
-  loop, and ``repro sweep`` runs it on a background thread.
+  no phase stream: ``repro sweep`` runs it on a background thread
+  while the supervisor blocks.
 """
 
 from __future__ import annotations
@@ -48,7 +48,6 @@ from repro.health.detectors import (
     HealthSignal,
     SaturationDetector,
     SpikeRateDetector,
-    StragglerDetector,
 )
 from repro.health.resources import ResourceSampler
 
@@ -277,9 +276,8 @@ class Alert:
 class AlertManager:
     """Runs every rule's state machine over each evaluation's inputs.
 
-    Thread-safe: the sharded path evaluates from the coordinator loop
-    while HTTP threads read :meth:`document`, and the sweep path
-    evaluates from a background thread.
+    Thread-safe: HTTP threads read :meth:`document` while the run
+    evaluates, and the sweep path evaluates from a background thread.
     """
 
     def __init__(
@@ -619,36 +617,28 @@ class HealthHook(PhaseHook):
         for population, stats in diagnostics.saturation.items():
             self.saturation.observe(population, stats.total_clipped)
         self.events.observe("fallback", len(diagnostics.fallbacks))
-        self.events.observe("degraded", len(diagnostics.degraded))
 
 
 class HealthMonitor:
     """Clock-throttled health driver for non-PhaseHook contexts.
 
-    The shard coordinator feeds :meth:`barrier_wait` /
-    :meth:`resource_sample` inline and calls :meth:`tick` from its
-    barrier loop; ``repro sweep`` instead calls :meth:`start` to tick
-    from a daemon thread while the supervisor blocks. Both paths end
-    with :meth:`finish`, which forces a final evaluation so
-    no-longer-true conditions resolve before the summary is recorded.
+    ``repro sweep`` has no phase stream in the parent process: its
+    workers run in child processes and report into the shared metrics
+    registry. The monitor evaluates the metric rules over that
+    registry, ticking from a daemon thread (:meth:`start`) while the
+    supervisor blocks, and ends with :meth:`finish`, which forces a
+    final evaluation so no-longer-true conditions resolve before the
+    summary is recorded.
     """
 
     def __init__(
         self,
         manager: AlertManager,
-        straggler: Optional[StragglerDetector] = None,
-        event_monitor: Optional[EventMonitor] = None,
         resources: Optional[ResourceSampler] = None,
         metrics=None,
         interval: float = DEFAULT_EVAL_INTERVAL,
     ) -> None:
         self.manager = manager
-        self.straggler = (
-            straggler if straggler is not None else StragglerDetector()
-        )
-        self.events = (
-            event_monitor if event_monitor is not None else EventMonitor()
-        )
         self.resources = (
             resources if resources is not None else ResourceSampler()
         )
@@ -659,27 +649,6 @@ class HealthMonitor:
         self._thread: Optional[threading.Thread] = None
         self._stop = threading.Event()
 
-    # -- inputs ------------------------------------------------------------
-
-    def barrier_wait(self, shard, wait_seconds: float) -> None:
-        with self._lock:
-            self.straggler.observe(shard, wait_seconds)
-        if wait_seconds > self.straggler.min_seconds:
-            # A wait this long is already alert-worthy, and barrier
-            # epochs can complete in milliseconds — waiting for the
-            # next throttled tick could let the peak age out of the
-            # detector's window before any rule ever sees it. Healthy
-            # waits never cross the floor, so the hot path is safe.
-            self.tick(force=True)
-
-    def resource_sample(self, shard, sample: dict) -> None:
-        with self._lock:
-            self.straggler.attribute(shard, sample)
-
-    def event_total(self, kind: str, total: int) -> None:
-        with self._lock:
-            self.events.observe(kind, total)
-
     # -- evaluation --------------------------------------------------------
 
     def tick(self, force: bool = False) -> None:
@@ -688,10 +657,9 @@ class HealthMonitor:
             if not force and now - self._last_eval < self.interval:
                 return
             self._last_eval = now
-            signals = self.straggler.signals() + self.events.signals()
         if self.metrics is not None:
             self.resources.publish(self.metrics)
-        self.manager.evaluate(now, signals, metrics=self.metrics)
+        self.manager.evaluate(now, [], metrics=self.metrics)
 
     def finish(self) -> None:
         """Stop any background thread and run one final evaluation."""

@@ -1,11 +1,11 @@
 """Streaming anomaly detectors over the live run's signal streams.
 
 Each detector consumes one stream the simulation already produces —
-per-population spike rates, fixed-point saturation tallies, per-shard
-barrier waits, reliability events — and classifies the current state
-into zero or more :class:`HealthSignal` records. Detectors hold only
-bounded state (EWMA scalars, small deques), never raise on odd input,
-and do no I/O: the alert rules engine (:mod:`repro.health.alerts`)
+per-population spike rates, fixed-point saturation tallies,
+reliability events — and classifies the current state into zero or
+more :class:`HealthSignal` records. Detectors hold only bounded state
+(EWMA scalars, per-subject dicts), never raise on odd input, and do no
+I/O: the alert rules engine (:mod:`repro.health.alerts`)
 decides what a signal *means*; detectors only say what they *see*.
 
 Observation is cheap (a few float updates per call) but still happens
@@ -17,9 +17,8 @@ discipline and only feeds detectors once per publish interval.
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass
-from typing import Deque, Dict, List
+from typing import Dict, List
 
 __all__ = [
     "EventMonitor",
@@ -27,7 +26,6 @@ __all__ = [
     "HealthSignal",
     "SaturationDetector",
     "SpikeRateDetector",
-    "StragglerDetector",
 ]
 
 
@@ -37,10 +35,10 @@ class HealthSignal:
 
     #: Detector family, e.g. ``"spike-rate"`` — what rules select on.
     detector: str
-    #: What the finding is about (population, ``shard3``, event kind).
+    #: What the finding is about (population or event kind).
     subject: str
     #: Classification within the family (``silent``, ``exploding``,
-    #: ``drifting``, ``saturation-growth``, ``straggler``, ...).
+    #: ``drifting``, ``saturation-growth``, ...).
     kind: str
     #: The observed value the classification was made on.
     value: float
@@ -226,82 +224,8 @@ class SaturationDetector:
         return [self._signals[key] for key in sorted(self._signals)]
 
 
-class StragglerDetector:
-    """Barrier-skew monitor over per-shard barrier wait samples.
-
-    Fed every ``shard_barrier_wait_seconds`` observation the shard
-    coordinator makes. A shard signals as a straggler while the *peak*
-    wait in its recent window exceeds both ``min_seconds`` (an
-    absolute floor, so microsecond jitter between fast shards never
-    alerts) and ``skew_ratio`` times the median of its *peers'* peaks
-    (a relative test, so a uniformly slow network does not blame one
-    shard). The peak ages out of the bounded window, so a recovered
-    shard resolves after ``window`` healthy epochs.
-
-    Resource samples shipped from the workers (:meth:`attribute`)
-    annotate the signal, turning "shard 1 is slow" into "shard 1 is
-    slow and its RSS doubled".
-    """
-
-    name = "straggler"
-
-    def __init__(
-        self,
-        skew_ratio: float = 4.0,
-        min_seconds: float = 0.5,
-        window: int = 8,
-    ) -> None:
-        self.skew_ratio = skew_ratio
-        self.min_seconds = min_seconds
-        self.window = window
-        self._waits: Dict[str, Deque[float]] = {}
-        self._resources: Dict[str, dict] = {}
-
-    def observe(self, shard, wait_seconds: float) -> None:
-        key = str(shard)
-        waits = self._waits.get(key)
-        if waits is None:
-            waits = deque(maxlen=self.window)
-            self._waits[key] = waits
-        waits.append(wait_seconds)
-
-    def attribute(self, shard, sample: dict) -> None:
-        """Attach the latest resource sample for skew attribution."""
-        self._resources[str(shard)] = dict(sample)
-
-    def signals(self) -> List[HealthSignal]:
-        peaks = {
-            key: max(waits) for key, waits in self._waits.items() if waits
-        }
-        out: List[HealthSignal] = []
-        for key in sorted(peaks):
-            peak = peaks[key]
-            peers = sorted(peaks[k] for k in peaks if k != key)
-            peer_median = peers[(len(peers) - 1) // 2] if peers else 0.0
-            threshold = max(self.min_seconds, self.skew_ratio * peer_median)
-            if peak <= threshold:
-                continue
-            message = (
-                f"shard {key} straggling: peak barrier wait {peak:.2f}s "
-                f"vs peer median {peer_median:.3f}s"
-            )
-            resources = self._resources.get(key)
-            if resources and resources.get("rss_bytes"):
-                message += (
-                    f" (rss {resources['rss_bytes'] / 1e6:.0f} MB, "
-                    f"cpu {resources.get('cpu_seconds', 0.0):.1f}s)"
-                )
-            out.append(
-                HealthSignal(
-                    self.name, f"shard{key}", "straggler",
-                    peak, threshold, message,
-                )
-            )
-        return out
-
-
 class EventMonitor:
-    """Reliability-event monitor: fallbacks, degradations, hook errors.
+    """Reliability-event monitor: fallbacks and hook errors.
 
     Fed cumulative counts per evaluation; signals while the count grew
     within the last ``linger`` evaluations, so a discrete event stays

@@ -2,9 +2,9 @@
 
 The implementation moved to :mod:`repro.routing.ring` when spike
 delivery became a routing layer of its own (shared by the simulator,
-the event-driven runtimes, checkpointing, and the future sharded
-exchange). :class:`SpikeQueue` remains as the historical name — it *is*
-a :class:`~repro.routing.ring.DelayRing` — so existing imports, tests,
+the event-driven runtimes, and checkpointing). :class:`SpikeQueue`
+remains as the historical name — it *is* a
+:class:`~repro.routing.ring.DelayRing` — so existing imports, tests,
 and checkpoints keep working unchanged.
 
 Note one deliberate behaviour fix that rode along with the move:

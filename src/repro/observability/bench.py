@@ -46,9 +46,7 @@ __all__ = [
     "load_history",
     "make_plasticity_record",
     "make_record",
-    "make_sharding_record",
     "measure_plasticity",
-    "measure_sharding",
     "measure_workload",
 ]
 
@@ -303,134 +301,6 @@ def make_plasticity_record(
         "machine": platform.machine(),
         "workloads": {},
         "plasticity": entries,
-    }
-
-
-# -- sharding scaling ------------------------------------------------------
-
-#: Marks a history record as a sharded-scaling measurement. Like
-#: plasticity records, ``workloads`` stays empty so throughput
-#: comparison never treats a multi-process run as a steps/sec baseline.
-SHARDING_KIND = "sharding"
-
-
-def measure_sharding(
-    name: str,
-    shard_counts: Sequence[int],
-    steps: int = 300,
-    scale: float = 0.05,
-    seed: int = 5,
-    barrier_timeout: float = 60.0,
-) -> dict:
-    """Wall time + digest parity of one workload across shard counts.
-
-    Runs the workload once single-process (the digest oracle and the
-    1-shard wall-time baseline), then once per requested shard count
-    through the real process-backed :class:`ShardCoordinator`. Every
-    sharded digest must equal the single-process digest bit-for-bit —
-    the entry records each comparison and an overall ``digest_match``
-    the CLI turns into an exit code. Speedup is *not* asserted: at
-    bench scales the barrier traffic usually dominates, and the record
-    exists to track the trend, not to gate on it.
-    """
-    if steps < 1:
-        raise ConfigurationError(f"steps must be >= 1, got {steps}")
-    for count in shard_counts:
-        if count < 2:
-            raise ConfigurationError(
-                f"shard counts must be >= 2, got {count}"
-            )
-    from repro.network.simulator import Simulator
-    from repro.sharding import ShardCoordinator
-    from repro.supervision import JobSpec, spike_digest
-    from repro.telemetry.profile import _make_backend
-    from repro.workloads import build_workload, get_spec
-    from repro.workloads.builders import DT
-
-    spec = get_spec(name)
-    network = build_workload(name, scale=scale, seed=seed)
-    simulator = Simulator(
-        network, _make_backend("reference", spec.solver, DT),
-        dt=DT, seed=seed + 1,
-    )
-    start = time.perf_counter()
-    result = simulator.run(steps)
-    single_wall = time.perf_counter() - start
-    baseline = spike_digest(result.spikes)
-
-    entry = {
-        "steps": steps,
-        "neurons": network.n_neurons,
-        "single_wall_seconds": single_wall,
-        "single_digest": baseline,
-        "shards": {},
-        "digest_match": True,
-    }
-    for count in shard_counts:
-        job = JobSpec(
-            name=f"bench-{name}-x{count}", workload=name,
-            backend="reference", steps=steps, scale=scale,
-            seed=seed, shards=count,
-        )
-        sharded = ShardCoordinator(
-            job, barrier_timeout=barrier_timeout
-        ).run()
-        match = sharded.spike_digest == baseline
-        entry["shards"][str(count)] = {
-            "wall_seconds": sharded.wall_seconds,
-            "speedup": single_wall / sharded.wall_seconds,
-            "digest": sharded.spike_digest,
-            "digest_match": match,
-            "restarts": sum(sharded.restarts),
-            "degraded": sharded.degraded,
-        }
-        if not match or sharded.degraded:
-            entry["digest_match"] = False
-    return entry
-
-
-def make_sharding_record(
-    workloads: Sequence[str],
-    shard_counts: Sequence[int],
-    steps: int = 300,
-    scale: float = 0.05,
-    seed: int = 5,
-    progress=None,
-    run_id: str = "",
-) -> dict:
-    """Measure sharded scaling into one ``repro-bench/1`` record.
-
-    The record carries ``kind: "sharding"`` with measurements under
-    ``sharding`` (``workloads`` left empty), riding the append-only
-    history without polluting the throughput baselines.
-    """
-    entries: Dict[str, dict] = {}
-    for name in workloads:
-        entries[name] = measure_sharding(
-            name, shard_counts, steps=steps, scale=scale, seed=seed
-        )
-        if progress is not None:
-            entry = entries[name]
-            for count, shard in entry["shards"].items():
-                progress(
-                    f"{name:20s} x{count}: {shard['wall_seconds']:6.2f}s "
-                    f"(speedup {shard['speedup']:.2f}x, digest "
-                    f"{'match' if shard['digest_match'] else 'DIFFER'})"
-                )
-    return {
-        "schema": BENCH_SCHEMA,
-        "kind": SHARDING_KIND,
-        "run_id": run_id or new_run_id(),
-        "ts": time.time(),
-        "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
-        "backend": "reference",
-        "steps": steps,
-        "scale": scale,
-        "seed": seed,
-        "python": platform.python_version(),
-        "machine": platform.machine(),
-        "workloads": {},
-        "sharding": entries,
     }
 
 

@@ -3,22 +3,21 @@
 Two coupled pieces turn the repo's multi-process runs into auditable
 history:
 
-* **Distributed tracing** — a :class:`TraceContext` rides the existing
-  supervision/sharding pipe protocols into every worker; each worker
-  records a bounded :class:`SpanRecorder` ring of wall-clock spans and
-  ships it back over the same dual exit paths as the flight recorder
-  (pipe message on ``done``/``failed``, atomic sidecar on SIGKILL).
-  :func:`merge_rings` fuses the coordinator's ring with every worker
-  incarnation's ring into one Chrome/Perfetto trace — one track per
-  process, per-process clock-offset correction estimated from the
-  started/heartbeat handshakes, and flow events linking barrier
-  exchange sends to the peers' receives.
+* **Distributed tracing** — a :class:`TraceContext` rides the
+  supervision pipe protocol into every worker; each worker records a
+  bounded :class:`SpanRecorder` ring of wall-clock spans and ships it
+  back over the same dual exit paths as the flight recorder (pipe
+  message on ``done``/``failed``, atomic sidecar on SIGKILL). The
+  supervisor places every worker incarnation's ring
+  (:class:`ProcessRing`) on its own track of the sweep trace, with a
+  per-process clock offset estimated from the started/heartbeat
+  handshakes (:func:`estimate_offset`).
 * **Run ledger** — ``ledger.jsonl`` (schema ``repro-ledger/1``), an
   append-only, torn-line-tolerant record of every ``repro run`` /
   ``sweep`` / ``bench`` / ``profile``: config digest, seed, backend,
-  shard count, spike digest, outcome, duration, metrics snapshot and
-  artifact paths. Queried by ``repro runs list|show|diff|trace`` and
-  served as ``GET /runs`` on the observability plane.
+  spike digest, outcome, duration, metrics snapshot and artifact
+  paths. Queried by ``repro runs list|show|diff`` and served as
+  ``GET /runs`` on the observability plane.
 """
 
 from repro.provenance.context import TraceContext
@@ -34,13 +33,7 @@ from repro.provenance.ledger import (
     runs_document,
     summarize_entry,
 )
-from repro.provenance.merge import (
-    ProcessRing,
-    barrier_recv_id,
-    barrier_send_id,
-    estimate_offset,
-    merge_rings,
-)
+from repro.provenance.merge import ProcessRing, estimate_offset
 from repro.provenance.spans import (
     SPANS_SCHEMA,
     PhaseSpanHook,
@@ -56,15 +49,12 @@ __all__ = [
     "SpanRecorder",
     "TraceContext",
     "append_entry",
-    "barrier_recv_id",
-    "barrier_send_id",
     "config_digest",
     "diff_entries",
     "estimate_offset",
     "find_entry",
     "load_ledger",
     "make_entry",
-    "merge_rings",
     "runs_document",
     "summarize_entry",
 ]

@@ -1,18 +1,15 @@
 """The trace context that rides every worker-init pipe payload.
 
-Supervision and sharding workers are spawn-safe: they receive one init
-payload over a pipe and nothing else. The trace context is one more
-key in that payload (``"trace"``), so correlation survives process
-boundaries without any shared state:
+Supervised workers are spawn-safe: they receive one init payload over
+a pipe and nothing else. The trace context is one more key in that
+payload (``"trace"``), so correlation survives process boundaries
+without any shared state:
 
 ``run_id``
     The sweep/run correlation id (``run-<12 hex>``), identical across
-    the coordinator and every worker incarnation of one run.
+    the supervisor and every worker incarnation of one run.
 ``job_id``
-    The job (workload) name for supervised sweeps, ``None`` for
-    sharded runs.
-``shard_id``
-    The shard index for sharded runs, ``None`` for supervised jobs.
+    The job (workload) name.
 ``attempt``
     Which incarnation this process is (0-based; bumped on restart).
 ``parent_span``
@@ -20,8 +17,8 @@ boundaries without any shared state:
     ``"job:Brunel#a1"`` — so a merged trace can attribute a worker
     track to the exact supervisor attempt span that owns it.
 
-Workers echo the context back inside their span-ring dumps, which lets
-the merge reject rings from a different run (stale sidecars).
+Workers echo the context back inside their span-ring dumps, so a ring
+recovered from a sidecar names the run and attempt it came from.
 """
 
 from __future__ import annotations
@@ -38,7 +35,6 @@ class TraceContext:
 
     run_id: str
     job_id: Optional[str] = None
-    shard_id: Optional[int] = None
     attempt: int = 0
     parent_span: Optional[str] = None
 
@@ -47,7 +43,6 @@ class TraceContext:
         return {
             "run_id": self.run_id,
             "job_id": self.job_id,
-            "shard_id": self.shard_id,
             "attempt": self.attempt,
             "parent_span": self.parent_span,
         }
@@ -56,11 +51,9 @@ class TraceContext:
     def from_payload(payload: Optional[dict]) -> "TraceContext":
         """Rebuild from a wire payload; tolerates a missing block."""
         payload = payload or {}
-        shard = payload.get("shard_id")
         return TraceContext(
             run_id=str(payload.get("run_id", "")),
             job_id=payload.get("job_id"),
-            shard_id=None if shard is None else int(shard),
             attempt=int(payload.get("attempt", 0)),
             parent_span=payload.get("parent_span"),
         )
@@ -68,8 +61,6 @@ class TraceContext:
     @property
     def track_label(self) -> str:
         """Human label for this process's trace track."""
-        if self.shard_id is not None:
-            return f"shard{self.shard_id}#a{self.attempt}"
         if self.job_id:
             return f"worker:{self.job_id}#a{self.attempt}"
         return f"worker#a{self.attempt}"

@@ -3,20 +3,18 @@
 Every ``repro run`` / ``sweep`` / ``bench`` / ``profile`` appends one
 entry recording what ran and what it produced: the config digest (a
 SHA-256 over the canonical JSON of the resolved configuration), seed,
-backend, shard count, the spike digest that pins bit-identity, the
-outcome, wall duration, a metrics snapshot, and the paths of every
-artifact the command wrote. The file is append-only through
+backend, the spike digest that pins bit-identity, the outcome, wall
+duration, a metrics snapshot, and the paths of every artifact the
+command wrote. The file is append-only through
 :func:`repro.io.append_jsonl` (``O_APPEND`` + ``flock`` + single
 write), so concurrent commands interleave whole lines, and loads are
 torn-line-tolerant like ``BENCH_history.jsonl`` — a crash mid-append
 costs at most the final line.
 
-Entries may carry the run's per-process span rings inline
-(``trace_rings``, :class:`~repro.provenance.merge.ProcessRing`
-dicts with clock offsets already estimated) so ``repro runs trace
-RUN_ID`` can re-merge the Perfetto document later without re-running
-anything; rings are bounded (the span recorders cap their windows),
-which keeps entries to tens of kilobytes.
+Entries are open records: readers use ``.get`` for every field and
+ignore keys they do not know, so lines written by older versions (for
+example with a ``shards`` count or inline ``trace_rings``) still load,
+list, show and diff.
 """
 
 from __future__ import annotations
@@ -54,7 +52,6 @@ DIFF_FIELDS = (
     "kind",
     "workload",
     "backend",
-    "shards",
     "steps",
     "scale",
     "seed",
@@ -85,7 +82,6 @@ def make_entry(
     *,
     workload: Optional[str] = None,
     backend: Optional[str] = None,
-    shards: int = 0,
     steps: int = 0,
     scale: float = 0.0,
     seed: int = 0,
@@ -95,7 +91,6 @@ def make_entry(
     duration: float = 0.0,
     metrics: Optional[dict] = None,
     artifacts: Optional[dict] = None,
-    trace_rings: Optional[list] = None,
     extra: Optional[dict] = None,
 ) -> dict:
     """Build one ledger entry (pure; append with :func:`append_entry`)."""
@@ -107,7 +102,6 @@ def make_entry(
         "kind": kind,
         "workload": workload,
         "backend": backend,
-        "shards": int(shards),
         "steps": int(steps),
         "scale": float(scale),
         "seed": int(seed),
@@ -124,8 +118,6 @@ def make_entry(
             if value
         },
     }
-    if trace_rings:
-        entry["trace_rings"] = trace_rings
     if extra:
         entry.update(extra)
     return entry
@@ -190,7 +182,6 @@ def summarize_entry(entry: dict) -> dict:
         "kind": entry.get("kind"),
         "workload": entry.get("workload"),
         "backend": entry.get("backend"),
-        "shards": entry.get("shards"),
         "steps": entry.get("steps"),
         "seed": entry.get("seed"),
         "outcome": entry.get("outcome"),

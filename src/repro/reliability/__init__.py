@@ -38,7 +38,6 @@ _EXPORTS = {
     "CHECKPOINT_VERSION": "repro.reliability.checkpoint",
     "Checkpoint": "repro.reliability.checkpoint",
     "CheckpointHook": "repro.reliability.checkpoint",
-    "DegradedEvent": "repro.reliability.diagnostics",
     "FallbackEvent": "repro.reliability.diagnostics",
     "FallbackRuntime": "repro.reliability.fallback",
     "FaultInjector": "repro.reliability.faults",

@@ -51,37 +51,6 @@ class FallbackEvent:
         )
 
 
-@dataclass(frozen=True)
-class DegradedEvent:
-    """One whole-run downgrade to a less capable execution mode.
-
-    Emitted when the shard coordinator exhausts a shard's retry budget
-    and degrades the run to a single-process re-execution: the answer
-    is still produced (and is still bit-identical, because the
-    single-process path is the reference), but the scaling promise was
-    broken and the record says exactly where.
-    """
-
-    #: What gave up, e.g. ``"retries-exhausted"`` or ``"spawn-failed"``.
-    reason: str
-    #: Shard that exhausted its budget (-1 when not shard-specific).
-    shard: int = -1
-    #: Barrier epoch at which the coordinator gave up.
-    epoch: int = -1
-    #: Attempts consumed on the failing shard before degrading.
-    attempts: int = 0
-    #: Free-form context (last failure classification, etc.).
-    detail: str = ""
-
-    def describe(self) -> str:
-        where = f"shard {self.shard}" if self.shard >= 0 else "run"
-        suffix = f": {self.detail}" if self.detail else ""
-        return (
-            f"epoch {self.epoch}: {where} degraded to single-process "
-            f"({self.reason}, {self.attempts} attempts){suffix}"
-        )
-
-
 @dataclass
 class RunDiagnostics:
     """Reliability events accumulated over one simulator's lifetime."""
@@ -90,8 +59,6 @@ class RunDiagnostics:
     fallbacks: List[FallbackEvent] = field(default_factory=list)
     #: Fixed-point saturation accounting, keyed by population.
     saturation: Dict[str, SaturationStats] = field(default_factory=dict)
-    #: Whole-run mode downgrades (sharded -> single-process).
-    degraded: List[DegradedEvent] = field(default_factory=list)
 
     @property
     def total_saturations(self) -> int:
@@ -99,12 +66,8 @@ class RunDiagnostics:
         return sum(stats.total_clipped for stats in self.saturation.values())
 
     def healthy(self) -> bool:
-        """True when nothing degraded and nothing clipped."""
-        return (
-            not self.fallbacks
-            and not self.degraded
-            and self.total_saturations == 0
-        )
+        """True when nothing fell back and nothing clipped."""
+        return not self.fallbacks and self.total_saturations == 0
 
     def to_dict(self) -> dict:
         """A JSON-serialisable view (``repro run --stats-json``)."""
@@ -115,7 +78,6 @@ class RunDiagnostics:
                 {**asdict(event), "indices": list(event.indices)}
                 for event in self.fallbacks
             ],
-            "degraded": [asdict(event) for event in self.degraded],
             "saturation": {
                 population: {
                     "checked": stats.checked,
@@ -137,8 +99,6 @@ class RunDiagnostics:
         lines: List[str] = []
         for event in self.fallbacks:
             lines.append(event.describe())
-        for degraded in self.degraded:
-            lines.append(degraded.describe())
         for population, stats in sorted(self.saturation.items()):
             if stats.total_clipped:
                 lines.append(f"{population!r} saturation: {stats.describe()}")

@@ -8,12 +8,8 @@ mechanism serves every consumer:
 * the three-phase :class:`~repro.network.simulator.Simulator` loop,
 * the event-driven hardware runtimes (which bind their population's
   ring to short-circuit idle classification),
-* checkpoint capture/restore (the ring snapshot is the unit of
-  in-flight-spike state),
-* and, next, the sharded cross-worker spike exchange — the
-  min-delay-aware :meth:`DelayRing.flush_window` API is sized exactly
-  for the "sync every min-delay steps" batching the FPGA and
-  lazy-plasticity papers use.
+* and checkpoint capture/restore (the ring snapshot is the unit of
+  in-flight-spike state).
 
 :class:`DelayRing` is the single-population delay-bucketed ring:
 per-synapse-type accumulation buckets indexed by

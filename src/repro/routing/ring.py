@@ -23,12 +23,10 @@ replaces:
   are done, the buckets for steps ``t .. t + min_delay`` can receive no
   further *synaptic* traffic — a spike generated at step ``t' > t``
   lands at ``t' + delay >= t + 1 + min_delay``. :meth:`flush_window`
-  exposes the first ``min_delay`` of those final buckets as one batch;
-  that is exactly the unit a sharded cross-worker exchange ships, so
-  workers need to synchronise only every ``min_delay`` steps instead of
-  every step. (Stimulus injection via :meth:`enqueue_now` targets only
-  the current head at its own step, so it never invalidates a window
-  taken after the stimulus phase.)
+  exposes the first ``min_delay`` of those final buckets as one batch.
+  (Stimulus injection via :meth:`enqueue_now` targets only the current
+  head at its own step, so it never invalidates a window taken after
+  the stimulus phase.)
 """
 
 from __future__ import annotations
@@ -90,35 +88,6 @@ class DelayRing:
         np.add.at(self._counts, slots, 1)
         self.enqueued_events += post_idx.size
 
-    def deposit(
-        self,
-        post_idx: np.ndarray,
-        weights: np.ndarray,
-        offsets: np.ndarray,
-        syn_type: int,
-    ) -> None:
-        """Accumulate weights at absolute bucket offsets from the head.
-
-        Unlike :meth:`enqueue`, offset 0 (the current bucket) is legal:
-        a sharded barrier replays the *previous* window's spikes after
-        the fact, so an arrival that would have been enqueued ``w``
-        steps ago with delay ``d`` now lands at offset ``d - w >= 0``.
-        The accumulation is element-wise ``np.add.at``, exactly as
-        :meth:`enqueue` performs it, so a replay that presents arrivals
-        in the original enqueue order reproduces bit-identical sums.
-        """
-        if post_idx.size == 0:
-            return
-        if np.any(offsets < 0) or np.any(offsets >= self.depth):
-            raise SimulationError(
-                f"deposit offset out of range 0..{self.depth - 1} "
-                "for this ring"
-            )
-        slots = (self._head + offsets) % self.depth
-        np.add.at(self._ring, (slots, syn_type, post_idx), weights)
-        np.add.at(self._counts, slots, 1)
-        self.enqueued_events += post_idx.size
-
     def enqueue_now(
         self, post_idx: np.ndarray, weights: np.ndarray, syn_type: int
     ) -> None:
@@ -157,7 +126,7 @@ class DelayRing:
         self._counts[self._head] = 0
         self._head = (self._head + 1) % self.depth
 
-    # -- batched flush (cross-worker exchange seam) ------------------------
+    # -- batched flush -----------------------------------------------------
 
     @property
     def flush_horizon(self) -> int:

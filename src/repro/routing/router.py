@@ -15,8 +15,7 @@ Sizing matters twice:
   by short-delay projections does not carry dead buckets;
 * each ring's **min_delay** is the smallest incoming delay — the
   population's flush horizon, i.e. how many consecutive buckets are
-  final once a step's enqueues are done. A future sharded exchange
-  batches cross-worker spike traffic on exactly this horizon.
+  final once a step's enqueues are done.
 """
 
 from __future__ import annotations
@@ -36,26 +35,6 @@ class SpikeRouter:
     def __init__(self, rings: Dict[str, DelayRing]):
         self._rings = dict(rings)
 
-    @staticmethod
-    def delay_bounds(network: "Network") -> Dict[str, tuple]:
-        """Per-population ``(min, max)`` incoming synaptic delay bounds.
-
-        Populations with no incoming projection are absent; callers
-        default them to ``(1, 1)``. Exposed separately from
-        :meth:`from_network` because a shard slicing a population must
-        size its partial ring from the *full* network's bounds — the
-        subset of projections that happens to land on the slice could
-        otherwise disagree with the ring geometry of the whole.
-        """
-        bounds: Dict[str, tuple] = {}
-        for projection in network.projections:
-            name = projection.post.name
-            lo, hi = bounds.get(name, (None, 1))
-            p_lo, p_hi = projection.min_delay, projection.max_delay
-            lo = p_lo if lo is None else min(lo, p_lo)
-            bounds[name] = (lo, max(hi, p_hi))
-        return bounds
-
     @classmethod
     def from_network(cls, network: "Network") -> "SpikeRouter":
         """Build per-population rings sized from actual incoming delays.
@@ -64,7 +43,13 @@ class SpikeRouter:
         ring (depth 2, min_delay 1): stimuli inject into the current
         bucket and the neuron phase always consumes one.
         """
-        bounds = cls.delay_bounds(network)
+        bounds: Dict[str, tuple] = {}
+        for projection in network.projections:
+            name = projection.post.name
+            lo, hi = bounds.get(name, (None, 1))
+            p_lo, p_hi = projection.min_delay, projection.max_delay
+            lo = p_lo if lo is None else min(lo, p_lo)
+            bounds[name] = (lo, max(hi, p_hi))
         rings = {}
         for name, population in network.populations.items():
             min_delay, max_delay = bounds.get(name, (1, 1))

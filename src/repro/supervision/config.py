@@ -3,12 +3,11 @@
 The supervisor's poll cadence (how often the watchdog checks the
 worker pipe), the workers' heartbeat emission interval, the stall
 timeout, and the default per-job deadline used to be scattered across
-hard-coded constants and individual keyword arguments. Barrier-heavy
-sharded runs want them tuned together — a tight barrier wants a tight
-poll; a huge shard wants a generous heartbeat timeout — so they now
-travel as one frozen, validated config shared by :class:`Supervisor`
-and :class:`~repro.sharding.coordinator.ShardCoordinator`, settable
-from the CLI via ``repro sweep --poll-interval/--heartbeat-interval/
+hard-coded constants and individual keyword arguments. They are tuned
+together — a large job wants both a generous heartbeat timeout and a
+generous deadline — so they now travel as one frozen, validated config
+for :class:`~repro.supervision.supervisor.Supervisor`, settable from
+the CLI via ``repro sweep --poll-interval/--heartbeat-interval/
 --heartbeat-timeout/--deadline``.
 """
 
@@ -24,7 +23,7 @@ __all__ = ["SupervisorConfig"]
 
 @dataclass(frozen=True)
 class SupervisorConfig:
-    """Watchdog timings for supervised workers and shard barriers."""
+    """Watchdog timings for supervised workers."""
 
     #: How long the watchdog blocks on the worker pipe per check
     #: (previously hard-coded to 50 ms).

@@ -14,6 +14,19 @@ from repro.network.stimulus import PoissonStimulus
 DT = 1e-4
 
 
+@pytest.fixture(autouse=True)
+def _isolated_ledger(tmp_path, monkeypatch):
+    """Point every ``--ledger`` default at this test's own directory.
+
+    CLI tests call ``main()`` without ``--ledger``; left alone they
+    would append to ``ledger.jsonl`` in the working directory.
+    """
+    monkeypatch.setattr(
+        "repro.provenance.ledger.DEFAULT_LEDGER_PATH",
+        str(tmp_path / "ledger.jsonl"),
+    )
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(12345)

@@ -255,41 +255,16 @@ class TestPublishing:
 
 
 class TestHealthMonitor:
-    def test_barrier_skew_drives_a_straggler_alert(self):
-        manager = AlertManager([
-            AlertRule(name="straggler", detector="straggler"),
-        ])
-        monitor = HealthMonitor(manager)
-        monitor.barrier_wait(0, 0.001)
-        monitor.barrier_wait(1, 0.002)
-        # A wait past the detector floor forces an immediate evaluation
-        # (barrier epochs can be faster than the tick throttle).
-        monitor.barrier_wait(1, 3.0)
-        assert manager.counts()["firing"] == 1
-        # Healthy epochs age the peak out; finish() resolves it.
-        for _ in range(8):
-            monitor.barrier_wait(1, 0.001)
-        monitor.finish()
-        assert manager.counts() == {"pending": 0, "firing": 0, "resolved": 1}
-        assert manager.summary()["fired"] == ["straggler"]
-
-    def test_event_totals_drive_event_rules(self):
-        manager = AlertManager([
-            AlertRule(name="degraded", detector="events", kind="degraded"),
-        ])
-        monitor = HealthMonitor(manager)
-        monitor.event_total("degraded", 1)
-        monitor.tick(force=True)
-        assert manager.counts()["firing"] == 1
-
     def test_background_thread_starts_and_stops_cleanly(self):
+        registry = MetricsRegistry()
         manager = AlertManager([
-            AlertRule(name="degraded", detector="events", kind="degraded"),
+            AlertRule(name="hooks", metric="hook_errors_total",
+                      threshold=0.0, op=">"),
         ])
-        monitor = HealthMonitor(manager, interval=0.01)
+        monitor = HealthMonitor(manager, metrics=registry, interval=0.01)
         monitor.start()
         monitor.start()  # idempotent
-        monitor.event_total("degraded", 1)
+        registry.counter("hook_errors_total").inc()
         monitor.finish()
         assert monitor._thread is None
         assert manager.summary()["fired_total"] == 1

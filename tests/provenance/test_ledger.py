@@ -22,7 +22,7 @@ from repro.provenance import (
 
 def _entry(run_id="run-a", **overrides):
     kwargs = dict(
-        workload="Brunel", backend="reference", shards=0, steps=100,
+        workload="Brunel", backend="reference", steps=100,
         scale=0.05, seed=3, dt=1e-4, spike_digest="d" * 64,
         outcome="completed", duration=1.5,
     )
@@ -60,14 +60,6 @@ class TestMakeEntry:
         )
         assert entry2["artifacts"] == {"stats_json": "s.json"}
         assert entry["artifacts"] == {}
-
-    def test_trace_rings_key_only_when_given(self):
-        assert "trace_rings" not in _entry()
-        with_rings = make_entry(
-            "run", "run-c", {}, trace_rings=[{"label": "p", "spans": []}]
-        )
-        assert len(with_rings["trace_rings"]) == 1
-
 
 class TestAppendLoad:
     def test_round_trip(self, tmp_path):
@@ -158,10 +150,10 @@ class TestDiffEntries:
         assert fields == ["spike_digest"]
 
     def test_benign_and_alarming_fields_both_surface(self):
-        a = _entry(backend="reference", shards=0)
-        b = _entry(backend="reference", shards=2)
+        a = _entry(backend="reference", spike_digest="a" * 64)
+        b = _entry(backend="folded", spike_digest="b" * 64)
         fields = [field for field, _, _ in diff_entries(a, b)]
-        assert "shards" in fields
+        assert fields == ["backend", "spike_digest"]
 
 
 class TestRunsDocument:

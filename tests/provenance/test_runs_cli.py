@@ -1,11 +1,59 @@
-"""``repro runs``: list/show/diff/trace against a synthetic ledger."""
+"""``repro runs``: list/show/diff against a synthetic ledger."""
 
 import json
+import time
 
 import pytest
 
 from repro.cli import main
-from repro.provenance import append_entry, make_entry
+from repro.provenance import (
+    LEDGER_SCHEMA,
+    append_entry,
+    config_digest,
+    make_entry,
+)
+
+#: A line as older versions wrote it: a ``shards`` count and inline
+#: per-process ``trace_rings``, two fields no longer recorded.
+LEGACY_CONFIG = {"workload": "Brunel", "seed": 3, "shards": 2}
+LEGACY_ENTRY = {
+    "schema": LEDGER_SCHEMA,
+    "run_id": "run-bbbb33334444",
+    "timestamp": "2026-01-01T00:00:01+0000",
+    "kind": "run",
+    "workload": "Brunel",
+    "backend": "reference",
+    "shards": 2,
+    "steps": 300,
+    "scale": 0.05,
+    "seed": 3,
+    "dt": 1e-4,
+    "config_digest": config_digest(LEGACY_CONFIG),
+    "config": LEGACY_CONFIG,
+    "spike_digest": "a" * 64,
+    "outcome": "completed",
+    "duration": 3.0,
+    "metrics": {},
+    "artifacts": {},
+    "trace_rings": [
+        {
+            "label": "coordinator", "pid": 1, "offset": 0.0,
+            "spans": [
+                {"name": "barrier e0", "cat": "barrier", "ts": 1.0,
+                 "dur": 0.1, "flow_in": [0]},
+            ],
+            "dropped": 0,
+        },
+        {
+            "label": "shard0#a0", "pid": 2, "offset": 0.5,
+            "spans": [
+                {"name": "window e0", "cat": "window", "ts": 1.2,
+                 "dur": 0.3, "flow_out": [0]},
+            ],
+            "dropped": 0,
+        },
+    ],
+}
 
 
 @pytest.fixture()
@@ -14,39 +62,16 @@ def ledger(tmp_path):
     append_entry(path, make_entry(
         "run", "run-aaaa11112222",
         {"workload": "Brunel", "seed": 3},
-        workload="Brunel", backend="reference", shards=0, steps=300,
+        workload="Brunel", backend="reference", steps=300,
         scale=0.05, seed=3, dt=1e-4, spike_digest="a" * 64,
         outcome="completed", duration=2.0,
     ))
-    append_entry(path, make_entry(
-        "run", "run-bbbb33334444",
-        {"workload": "Brunel", "seed": 3, "shards": 2},
-        workload="Brunel", backend="reference", shards=2, steps=300,
-        scale=0.05, seed=3, dt=1e-4, spike_digest="a" * 64,
-        outcome="completed", duration=3.0,
-        trace_rings=[
-            {
-                "label": "coordinator", "pid": 1, "offset": 0.0,
-                "spans": [
-                    {"name": "barrier e0", "cat": "barrier", "ts": 1.0,
-                     "dur": 0.1, "flow_in": [0]},
-                ],
-                "dropped": 0,
-            },
-            {
-                "label": "shard0#a0", "pid": 2, "offset": 0.5,
-                "spans": [
-                    {"name": "window e0", "cat": "window", "ts": 1.2,
-                     "dur": 0.3, "flow_out": [0]},
-                ],
-                "dropped": 0,
-            },
-        ],
-    ))
+    with open(path, "a", encoding="utf-8") as handle:
+        handle.write(json.dumps(dict(LEGACY_ENTRY, ts=time.time())) + "\n")
     append_entry(path, make_entry(
         "run", "run-cccc55556666",
         {"workload": "Brunel", "seed": 99},
-        workload="Brunel", backend="reference", shards=0, steps=300,
+        workload="Brunel", backend="reference", steps=300,
         scale=0.05, seed=99, dt=1e-4, spike_digest="c" * 64,
         outcome="completed", duration=2.0,
     ))
@@ -104,16 +129,6 @@ class TestShow:
         assert entry["run_id"] == "run-aaaa11112222"
         assert entry["spike_digest"] == "a" * 64
 
-    def test_show_omits_rings_unless_full(self, ledger, capsys):
-        assert main(["runs", "--ledger", ledger, "show", "run-bbbb"]) == 0
-        entry = json.loads(capsys.readouterr().out)
-        assert "omitted" in entry["trace_rings"]
-        assert main(
-            ["runs", "--ledger", ledger, "show", "run-bbbb", "--full"]
-        ) == 0
-        entry = json.loads(capsys.readouterr().out)
-        assert len(entry["trace_rings"]) == 2
-
     def test_unknown_id_exits_2(self, ledger, capsys):
         assert main(["runs", "--ledger", ledger, "show", "run-zz"]) == 2
         assert "no ledger entry" in capsys.readouterr().err
@@ -126,7 +141,7 @@ class TestDiff:
         ) == 0
         out = capsys.readouterr().out
         assert "spike digests match" in out
-        assert "shards" in out  # benign difference still listed
+        assert "config_digest" in out  # benign difference still listed
 
     def test_digest_divergence_exits_1(self, ledger, capsys):
         assert main(
@@ -141,26 +156,15 @@ class TestDiff:
         assert "ambiguous" in capsys.readouterr().err
 
 
-class TestTrace:
-    def test_remerges_recorded_rings(self, ledger, tmp_path, capsys):
-        out_path = str(tmp_path / "merged.json")
+class TestLegacyEntries:
+    def test_old_entry_lists_shows_and_diffs(self, ledger, capsys):
+        assert main(["runs", "--ledger", ledger, "list"]) == 0
+        assert "run-bbbb33334444" in capsys.readouterr().out
+        assert main(["runs", "--ledger", ledger, "show", "run-bbbb"]) == 0
+        entry = json.loads(capsys.readouterr().out)
+        assert entry["shards"] == 2
+        assert entry["trace_rings"] == "<2 ring(s) omitted>"
         assert main(
-            ["runs", "--ledger", ledger, "trace", "run-bbbb",
-             "-o", out_path]
-        ) == 0
-        document = json.load(open(out_path))
-        tracks = [
-            event["args"]["name"]
-            for event in document["traceEvents"]
-            if event["name"] == "thread_name"
-        ]
-        assert tracks == ["coordinator (pid 1)", "shard0#a0 (pid 2)"]
-        phases = {event["ph"] for event in document["traceEvents"]}
-        assert {"s", "f"} <= phases  # the barrier flow arrow survived
-        assert document["otherData"]["run_id"] == "run-bbbb33334444"
-
-    def test_entry_without_rings_exits_2(self, ledger, capsys):
-        assert main(
-            ["runs", "--ledger", ledger, "trace", "run-aaaa"]
-        ) == 2
-        assert "no trace rings" in capsys.readouterr().err
+            ["runs", "--ledger", ledger, "diff", "run-bbbb", "run-cccc"]
+        ) == 1
+        assert "SPIKE DIGEST DIVERGENCE" in capsys.readouterr().out

@@ -18,14 +18,11 @@ class TestRing:
     def test_optional_keys_only_when_set(self):
         recorder = SpanRecorder()
         span = recorder.record(
-            "exchange e1", "exchange", 1.0, 0.1,
-            args={"epoch": 1}, flow_out=[4], flow_in=[5],
+            "neuron", "phase", 1.0, 0.1, args={"step": 1},
         )
-        assert span["args"] == {"epoch": 1}
-        assert span["flow_out"] == [4]
-        assert span["flow_in"] == [5]
+        assert span["args"] == {"step": 1}
         bare = recorder.record("bare", "phase", 2.0, 0.1)
-        assert "args" not in bare and "flow_out" not in bare
+        assert "args" not in bare
 
     def test_ring_evicts_oldest_and_counts_drops(self):
         recorder = SpanRecorder(max_spans=3)
@@ -38,14 +35,14 @@ class TestRing:
         assert recorder.dropped_spans == 2
 
     def test_dump_carries_schema_pid_and_context(self):
-        context = TraceContext(run_id="run-z", shard_id=1, attempt=2)
+        context = TraceContext(run_id="run-z", job_id="Brunel", attempt=2)
         recorder = SpanRecorder(context)
         recorder.record("a", "phase", 0.0, 0.1)
         dump = recorder.dump()
         assert dump["schema"] == SPANS_SCHEMA == "repro-spans/1"
         assert dump["pid"] == os.getpid()
         assert dump["context"]["run_id"] == "run-z"
-        assert dump["context"]["shard_id"] == 1
+        assert dump["context"]["job_id"] == "Brunel"
         assert len(dump["spans"]) == 1
         json.dumps(dump)  # pipe/JSON-safe
 
@@ -105,7 +102,7 @@ class TestPhaseSpanHook:
     def test_population_spans_stay_opt_in(self):
         # Kernel spans are TraceHook's job; the provenance ring must
         # not override on_population, or the simulator would start
-        # paying the per-population clock reads on every sharded run.
+        # paying the per-population clock reads on every supervised run.
         from repro.engine.hooks import PhaseHook
 
         assert PhaseSpanHook.on_population is PhaseHook.on_population

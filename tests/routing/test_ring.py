@@ -97,8 +97,8 @@ class TestFlushWindow:
     def test_min_delay_traffic_cannot_invalidate_window(self):
         # Once a step's enqueues are done, future synaptic spikes
         # (delay >= min_delay, enqueued at strictly later steps) land
-        # beyond the window — the batching contract a sharded
-        # exchange relies on.
+        # beyond the window — the batching contract flush_window
+        # promises.
         ring = DelayRing(3, 1, 5, min_delay=2)
         _enqueue(ring, 0, 1.0, 1)
         _enqueue(ring, 1, 2.0, 2)
@@ -151,8 +151,7 @@ class TestFlushWindow:
 
     def test_flush_after_restore_at_rotation_offsets(self):
         # A restored ring must flush the same window the original
-        # would, wherever the head happens to sit — the property the
-        # sharded resume path leans on.
+        # would, wherever the head happens to sit.
         for rotations in range(6):
             ring = DelayRing(5, 2, 5, min_delay=2)
             rng = np.random.default_rng(rotations)
