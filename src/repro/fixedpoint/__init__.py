@@ -24,10 +24,12 @@ from repro.fixedpoint.fixed import (
     Fixed,
     FixedFormat,
     SaturationStats,
+    active_saturation_sink,
     fx_add,
     fx_from_float,
     fx_mul,
     fx_neg,
+    fx_round,
     fx_saturate,
     fx_sub,
     fx_to_float,
@@ -41,12 +43,14 @@ __all__ = [
     "Fixed",
     "FixedFormat",
     "SaturationStats",
+    "active_saturation_sink",
     "fast_exp",
     "fx_add",
     "fx_exp",
     "fx_from_float",
     "fx_mul",
     "fx_neg",
+    "fx_round",
     "fx_saturate",
     "fx_sub",
     "fx_to_float",

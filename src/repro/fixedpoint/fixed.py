@@ -14,9 +14,8 @@ evaluated workloads.
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, Optional, Union
+from typing import Dict, Optional, Union
 
 import numpy as np
 
@@ -167,21 +166,36 @@ class SaturationStats:
 _ACTIVE_SINK: Optional[SaturationStats] = None
 
 
-@contextmanager
-def observe_saturation(stats: SaturationStats) -> Iterator[SaturationStats]:
+class observe_saturation:
     """Route all non-strict saturation accounting into ``stats``.
 
     Hardware runtimes wrap each step in this context so a whole run's
     clip counts accumulate in one :class:`SaturationStats`; helpers may
     also be given an explicit ``stats=`` sink, which takes precedence.
+    (A class rather than a generator context manager: it is entered
+    once per population per time step.)
     """
-    global _ACTIVE_SINK
-    previous = _ACTIVE_SINK
-    _ACTIVE_SINK = stats
-    try:
-        yield stats
-    finally:
-        _ACTIVE_SINK = previous
+
+    __slots__ = ("stats", "_previous")
+
+    def __init__(self, stats: SaturationStats):
+        self.stats = stats
+        self._previous: Optional[SaturationStats] = None
+
+    def __enter__(self) -> SaturationStats:
+        global _ACTIVE_SINK
+        self._previous = _ACTIVE_SINK
+        _ACTIVE_SINK = self.stats
+        return self.stats
+
+    def __exit__(self, *exc_info) -> None:
+        global _ACTIVE_SINK
+        _ACTIVE_SINK = self._previous
+
+
+def active_saturation_sink() -> Optional[SaturationStats]:
+    """The stats object :func:`observe_saturation` currently routes to."""
+    return _ACTIVE_SINK
 
 
 def _saturate_scalar(
@@ -218,11 +232,20 @@ def _saturate_array(
     strict: bool,
     stats: Optional[SaturationStats] = None,
 ) -> np.ndarray:
+    # One min/max pass decides; clipping and counting run only when a
+    # value is out of range (a NaN fails the check and takes that path).
+    in_range = raw.size == 0 or (
+        raw.min() >= fmt.raw_min and raw.max() <= fmt.raw_max
+    )
     if strict:
-        if np.any(raw > fmt.raw_max) or np.any(raw < fmt.raw_min):
+        if not in_range:
             raise FixedPointOverflowError(f"array value saturates format {fmt}")
         return raw
     sink = stats if stats is not None else _ACTIVE_SINK
+    if in_range:
+        if sink is not None:
+            sink.record(fmt, raw.size, 0)
+        return raw
     if sink is not None:
         over = int(np.count_nonzero(raw > fmt.raw_max))
         under = int(np.count_nonzero(raw < fmt.raw_min))
@@ -259,26 +282,49 @@ def fx_saturate(
 def fx_from_float(value, fmt: FixedFormat, strict: bool = False) -> RawLike:
     """Quantise a float (or float array) to raw fixed-point integers.
 
-    Rounds to nearest (ties away from zero, matching hardware rounders)
-    and saturates to the format range unless ``strict``.
+    Rounds to nearest and saturates to the format range unless
+    ``strict``. The two paths break ties differently, and both are
+    pinned by the spike digests: a scalar rounds ties away from zero
+    (``-0.5`` LSB becomes ``-1``), an array rounds ties up, towards
+    +inf (``floor(x * scale + 0.5)``: ``-0.5`` LSB becomes ``0``).
+    NaN quantises to 0 and +/-inf saturates.
     """
+    if isinstance(value, np.ndarray):
+        arr = np.asarray(value, dtype=np.float64)
+        # Fast path: when every rounded value is finite and in range,
+        # fx_round's NaN/inf replacement and pre-clamp and the
+        # saturation are all identities, so only the rounding runs.
+        rounded = np.floor(arr * fmt.scale + 0.5)
+        if rounded.size == 0 or (
+            float(rounded.min()) >= fmt.raw_min
+            and float(rounded.max()) <= fmt.raw_max
+        ):
+            if _ACTIVE_SINK is not None and not strict:
+                _ACTIVE_SINK.record(fmt, rounded.size, 0)
+            return rounded.astype(np.int64)
+        return _saturate_array(fx_round(arr, fmt), fmt, strict)
     # Pre-clamp to twice the representable range so the float->int cast
     # cannot overflow int64 for huge inputs (e.g. a saturating exp);
     # the clamped value still trips strict-mode overflow detection.
     lo, hi = 2.0 * fmt.min_value - 1.0, 2.0 * fmt.max_value + 1.0
-    if isinstance(value, np.ndarray):
-        arr = np.nan_to_num(
-            np.asarray(value, dtype=np.float64), nan=0.0, posinf=hi, neginf=lo
-        )
-        raw = np.floor(np.clip(arr, lo, hi) * fmt.scale + 0.5)
-        raw = raw.astype(np.int64)
-        return _saturate_array(raw, fmt, strict)
     clamped = min(max(float(value), lo), hi)
     if clamped != clamped:  # NaN
         clamped = 0.0
     scaled = clamped * fmt.scale
     raw = int(np.floor(scaled + 0.5)) if scaled >= 0 else -int(np.floor(-scaled + 0.5))
     return _saturate_scalar(raw, fmt, strict)
+
+
+def fx_round(arr: np.ndarray, fmt: FixedFormat) -> np.ndarray:
+    """The array quantiser of :func:`fx_from_float` without its saturation.
+
+    NaN becomes 0 and the values are pre-clamped to twice the format's
+    range, so the int64 cast is always defined; the result may still
+    lie outside the format and is left for the caller to saturate.
+    """
+    lo, hi = 2.0 * fmt.min_value - 1.0, 2.0 * fmt.max_value + 1.0
+    arr = np.nan_to_num(arr, nan=0.0, posinf=hi, neginf=lo)
+    return np.floor(np.clip(arr, lo, hi) * fmt.scale + 0.5).astype(np.int64)
 
 
 def fx_to_float(raw: RawLike, fmt: FixedFormat):

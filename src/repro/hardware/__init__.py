@@ -11,11 +11,11 @@ fixed point:
   (Figure 10): all data paths evaluated in parallel, conflicting
   features gated by MUXes.
 * :mod:`repro.hardware.control` / :mod:`repro.hardware.microcode` — the
-  control-signal encoding (Table IV) and the per-feature microprograms
-  (Table V).
+  control-signal encoding (Table IV), the per-feature microprograms
+  (Table V) and their compilation into straight-line kernels.
 * :mod:`repro.hardware.folded` — spatially folded Flexon (Figure 11): a
   two-stage pipeline with one shared MUL/ADD/EXP executing the
-  microprograms, cycle-counted.
+  compiled microprograms, cycle-counted.
 * :mod:`repro.hardware.array` — neuron arrays (the synthesized 12-neuron
   Flexon and 72-neuron folded configurations of Table VI) with their
   latency models.

@@ -5,7 +5,7 @@ Each class models one of the ten data paths: its fixed-point arithmetic
 (consumed by the Figure 12 cost model). The arithmetic follows the
 Table V operand conventions exactly — one multiply, one add, optional
 exponentiation per micro-operation — so the baseline Flexon built from
-these data paths is bit-identical to the folded microcode interpreter.
+these data paths is bit-identical to the compiled folded microcode.
 
 All value arguments and returns are *raw* fixed-point int64 arrays in
 the constants' format. Saturating multiply/add come from

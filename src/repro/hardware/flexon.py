@@ -190,5 +190,14 @@ class FlexonNeuron:
                 f"snapshot variables {sorted(snapshot)} do not match "
                 f"neuron state {sorted(self.state)}"
             )
-        for name, raw in snapshot.items():
-            self.state[name] = np.asarray(raw, dtype=np.int64).copy()
+        arrays = {
+            name: np.asarray(raw, dtype=np.int64) for name, raw in snapshot.items()
+        }
+        for name, raw in arrays.items():
+            if raw.shape != self.state[name].shape:
+                raise SimulationError(
+                    f"snapshot {name!r} shape {raw.shape} does not match "
+                    f"{self.state[name].shape}"
+                )
+        for name, raw in arrays.items():
+            np.copyto(self.state[name], raw)

@@ -3,8 +3,10 @@
 Where the baseline Flexon instantiates every data path, the folded
 design shares one multiplier, one adder and one exponential unit, and
 schedules each feature's sub-operations over them with control signals
-(Section V-B). This model interprets assembled
-:class:`~repro.hardware.microcode.Microprogram` objects:
+(Section V-B). An assembled :class:`~repro.hardware.microcode.Microprogram`
+is a static schedule, so this model compiles it once
+(:func:`~repro.hardware.microcode.compile_microprogram`) into a
+straight-line kernel and steps that kernel ever after:
 
 * **stage 1** executes the control signals — each is one pass through
   the shared MUL-ADD(-EXP) with operands selected per Table IV — and
@@ -13,11 +15,29 @@ schedules each feature's sub-operations over them with control signals
   spike-triggered jumps, ticks the refractory counter, and writes the
   (truncated) membrane value back.
 
+Saturation is fused. Every datapath op writes its unclipped result to
+its own scratch row, and one min/max over those rows decides the step:
+
+* all rows in range — no op would have clipped, so the rows are exactly
+  what the saturating op-by-op schedule computes; the step records its
+  compile-time ``checked`` total (ops x n) with zero clips and commits;
+* any row out of range — stage 1 runs again from the untouched
+  registers with an exact clip and count after each op. Until the
+  first op that clips, both runs compute the same values, so that
+  op's unclipped result is the one the check saw out of range: the
+  check cannot miss a clip.
+
+The membrane write-back to ``MEMBRANE_FORMAT`` clips every step on some
+workloads, so it has its own bounds check and clips and counts only
+on overflow, never replaying stage 1.
+
 Functional correctness is verified against the baseline Flexon bit for
-bit (the equivalence the paper's Table V schedules must guarantee), and
-the per-neuron cycle occupancy (``signals + 1``) feeds the Figure 13
-latency model — e.g. QDI's structural hazard on the single multiplier
-makes its simulation take an extra cycle, exactly as Section V-B notes.
+bit (the equivalence the paper's Table V schedules must guarantee; the
+baseline keeps its own per-datapath arithmetic so that the check means
+something), and the per-neuron cycle occupancy (``signals + 1``) feeds
+the Figure 13 latency model — e.g. QDI's structural hazard on the single
+multiplier makes its simulation take an extra cycle, exactly as Section
+V-B notes.
 """
 
 from __future__ import annotations
@@ -28,26 +48,9 @@ import numpy as np
 
 from repro.errors import SimulationError
 from repro.features import Feature
-from repro.fixedpoint import (
-    MEMBRANE_FORMAT,
-    FixedFormat,
-    fx_add,
-    fx_exp,
-    fx_mul,
-    fx_saturate,
-)
-from repro.hardware import datapaths as dp
-from repro.hardware.control import (
-    AOperand,
-    BOperand,
-    N_STATE_REGISTERS,
-    STATE_G,
-    STATE_R,
-    STATE_V,
-    STATE_W,
-    STATE_Y,
-)
-from repro.hardware.microcode import Microprogram
+from repro.fixedpoint import MEMBRANE_FORMAT, FixedFormat
+from repro.hardware.control import STATE_G, STATE_R, STATE_V, STATE_W, STATE_Y
+from repro.hardware.microcode import Microprogram, compile_microprogram
 
 
 class FoldedFlexonNeuron:
@@ -62,13 +65,14 @@ class FoldedFlexonNeuron:
         self.program = program
         self.n = n
         self.membrane_format = membrane_format
-        self.regs = np.zeros((N_STATE_REGISTERS, n), dtype=np.int64)
-        if Feature.AR in program.features:
-            self.cnt = np.zeros(n, dtype=np.int64)
-        else:
-            self.cnt = None
+        self.kernel = compile_microprogram(program, n, membrane_format)
+        #: The register file and AR counter: the kernel's own arrays,
+        #: only ever updated in place.
+        self.regs = self.kernel.regs
+        self.cnt = self.kernel.cnt
         #: Total pipeline cycles consumed so far (all neurons).
         self.total_cycles = 0
+        self._cycles_per_step = n * program.cycles_per_neuron
 
     @property
     def cycles_per_neuron(self) -> int:
@@ -77,69 +81,13 @@ class FoldedFlexonNeuron:
 
     def step(self, raw_inputs: np.ndarray) -> np.ndarray:
         """Advance every neuron one time step; return the fired mask."""
-        program = self.program
-        c = program.constants
-        fmt = c.fmt
-        if raw_inputs.shape != (c.n_synapse_types, self.n):
+        expected = self.kernel.inputs.shape
+        if raw_inputs.shape != expected:
             raise SimulationError(
-                f"expected inputs of shape {(c.n_synapse_types, self.n)}, "
-                f"got {raw_inputs.shape}"
+                f"expected inputs of shape {expected}, got {raw_inputs.shape}"
             )
-        if self.cnt is not None:
-            gated = dp.ArPath.gate(raw_inputs, self.cnt)
-        else:
-            gated = raw_inputs
-
-        # -- stage 1: execute the control signals --------------------------
-        acc = np.zeros(self.n, dtype=np.int64)
-        tmp = np.zeros(self.n, dtype=np.int64)
-        for signal in program.signals:
-            if signal.a == AOperand.CONSTANT:
-                mul_operand = program.mul_constants[signal.ca]
-            else:
-                mul_operand = tmp
-            product = fx_mul(mul_operand, self.regs[signal.s], fmt)
-            if signal.b == BOperand.ZERO:
-                out = product
-            elif signal.b == BOperand.CONSTANT:
-                out = fx_add(product, program.add_constants[signal.cb], fmt)
-            elif signal.b == BOperand.INPUT:
-                out = fx_add(product, gated[signal.syn_type], fmt)
-            elif signal.b == BOperand.TMP:
-                out = fx_add(product, tmp, fmt)
-            else:  # LEAK: clamped -V_leak of the selected state register
-                leak = np.minimum(
-                    c.v_leak, np.maximum(self.regs[signal.s], 0)
-                )
-                out = fx_add(product, -leak, fmt)
-            if signal.exp:
-                out = fx_exp(out, fmt)
-            tmp = out
-            if signal.s_wr:
-                self.regs[signal.s] = out
-            if signal.v_acc:
-                acc = fx_add(acc, out, fmt)
-
-        # -- stage 2: fire, reset, write back --------------------------------
-        features = program.features
-        fired = acc > c.threshold
-        v_next = np.where(fired, np.int64(c.v_reset), acc)
-        if self.membrane_format is not None:
-            v_next = fx_saturate(v_next, self.membrane_format)
-        self.regs[STATE_V] = v_next
-        # Jump signs mirror FlexonNeuron (RR conductances grow on fire).
-        if Feature.RR in features:
-            self.regs[STATE_W] = self.regs[STATE_W] + np.where(fired, c.b, 0)
-            self.regs[STATE_R] = self.regs[STATE_R] + np.where(
-                fired, c.q_r, 0
-            )
-        elif features.has_adaptation_state:
-            self.regs[STATE_W] = self.regs[STATE_W] - np.where(fired, c.b, 0)
-        if self.cnt is not None:
-            cnt = dp.ArPath.tick(self.cnt)
-            cnt[fired] = c.cnt_max
-            self.cnt = cnt
-        self.total_cycles += self.n * self.cycles_per_neuron
+        fired = self.kernel.run(raw_inputs)
+        self.total_cycles += self._cycles_per_step
         return fired
 
     # -- host-side views -------------------------------------------------------
@@ -180,12 +128,18 @@ class FoldedFlexonNeuron:
                 f"snapshot register shape {regs.shape} does not match "
                 f"{self.regs.shape}"
             )
-        self.regs = regs.copy()
         cnt = snapshot["cnt"]
         if (cnt is None) != (self.cnt is None):
             raise SimulationError(
                 "snapshot refractory counter does not match this program"
             )
         if cnt is not None:
-            self.cnt = np.asarray(cnt, dtype=np.int64).copy()
+            cnt = np.asarray(cnt, dtype=np.int64)
+            if cnt.shape != self.cnt.shape:
+                raise SimulationError(
+                    f"snapshot counter shape {cnt.shape} does not match "
+                    f"{self.cnt.shape}"
+                )
+            np.copyto(self.cnt, cnt)
+        np.copyto(self.regs, regs)
         self.total_cycles = int(snapshot["total_cycles"])
